@@ -4,9 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#ifdef QCAP_GREEDY_TRACE
-#include <cstdio>
-#endif
+#include "alloc/pending_queue.h"
 
 namespace qcap {
 
@@ -14,12 +12,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// A class pending allocation: index into reads (is_update=false) or
-/// updates (is_update=true) of the classification.
-struct Pending {
-  size_t index = 0;
-  bool is_update = false;
-};
+using alloc_internal::PendingClass;
 
 }  // namespace
 
@@ -36,58 +29,44 @@ Result<Allocation> GreedyAllocator::Allocate(
   const ClassificationIndex index(cls);
   Allocation alloc(n, cls.catalog, cls.reads.size(), cls.updates.size());
 
-  // Line 1: C* = CQ ∪ {CU with no overlapping read class}.
-  std::vector<Pending> queue;
+  // Not-yet-assigned weight per read class; part of its queue key.
+  std::vector<double> rest_weight(cls.reads.size());
   for (size_t r = 0; r < cls.reads.size(); ++r) {
-    queue.push_back(Pending{r, false});
+    rest_weight[r] = cls.reads[r].weight;
+  }
+  // Lines 1-2: C* = CQ ∪ {CU with no overlapping read class}, ordered by
+  // descending weight x size. The queue stays in that order as keys change
+  // (Line 33), see alloc/pending_queue.h.
+  alloc_internal::PendingQueue queue;
+  queue.Reserve(cls.reads.size() + cls.updates.size());
+  auto push = [&](const PendingClass& p) {
+    queue.Push(p, alloc_internal::PendingKey(index, p, rest_weight));
+  };
+  for (size_t r = 0; r < cls.reads.size(); ++r) {
+    push(PendingClass{r, false, false});
   }
   for (size_t u = 0; u < cls.updates.size(); ++u) {
     if (index.reads_overlapping_update(u).empty()) {
-      queue.push_back(Pending{u, true});
+      push(PendingClass{u, true, false});
     }
   }
 
-  auto class_of = [&](const Pending& p) -> const QueryClass& {
+  auto class_of = [&](const PendingClass& p) -> const QueryClass& {
     return p.is_update ? cls.updates[p.index] : cls.reads[p.index];
   };
-  auto class_bits = [&](const Pending& p) -> ConstBitSpan {
+  auto class_bits = [&](const PendingClass& p) -> ConstBitSpan {
     return p.is_update ? index.update_bits(p.index) : index.read_bits(p.index);
   };
-  auto overlap_weight = [&](const Pending& p) {
-    return p.is_update ? index.update_overlapping_update_weight(p.index)
-                       : index.read_overlapping_update_weight(p.index);
-  };
-  auto bundle_weight = [&](const Pending& p) {
-    // weight(C ∪ updates(C)): the class's own weight plus all overlapping
-    // update classes (for an update class this includes itself once).
-    double w = overlap_weight(p);
-    if (!p.is_update) w += class_of(p).weight;
-    return w;
-  };
-  auto bundle_size = [&](const Pending& p) {
-    return p.is_update ? index.update_bundle_bytes(p.index)
-                       : index.read_bundle_bytes(p.index);
-  };
-  auto bundle_bits = [&](const Pending& p) -> ConstBitSpan {
+  auto bundle_bits = [&](const PendingClass& p) -> ConstBitSpan {
     return p.is_update ? index.update_bundle_bits(p.index)
                        : index.read_bundle_bits(p.index);
   };
-
-  // Line 2: initial sort, descending weight x size.
-  std::stable_sort(queue.begin(), queue.end(),
-                   [&](const Pending& a, const Pending& b) {
-                     return bundle_weight(a) * bundle_size(a) >
-                            bundle_weight(b) * bundle_size(b);
-                   });
 
   // Lines 3-5: auxiliary state.
   std::vector<double> current_load(n, 0.0);
   std::vector<double> scaled_load(n);
   for (size_t b = 0; b < n; ++b) scaled_load[b] = backends[b].relative_load;
-  std::vector<double> rest_weight(cls.reads.size());
-  for (size_t r = 0; r < cls.reads.size(); ++r) {
-    rest_weight[r] = cls.reads[r].weight;
-  }
+  std::vector<double> difference(n);
   DenseBitset row_scratch(cls.catalog.size());
 
   size_t max_iters = options_.max_iterations;
@@ -101,8 +80,7 @@ Result<Allocation> GreedyAllocator::Allocate(
     if (++iters > max_iters) {
       return Status::Internal("greedy allocation did not converge");
     }
-    const Pending p = queue.front();
-    queue.erase(queue.begin());
+    const PendingClass p = queue.Pop();
     const QueryClass& c = class_of(p);
 
     // Lines 7-9: if all backends are full, scale every backend so it can
@@ -141,7 +119,6 @@ Result<Allocation> GreedyAllocator::Allocate(
         }
       }
     }
-    std::vector<double> difference(n);
     for (size_t b = 0; b < n; ++b) {
       if (current_load[b] >= scaled_load[b] - eps) {
         difference[b] = kInf;
@@ -208,11 +185,6 @@ Result<Allocation> GreedyAllocator::Allocate(
     const double added_updates = alloc_internal::CloseUpdatesOnBackend(
         cls, index, target, &alloc, &row_scratch);
     current_load[target] += added_updates;
-#ifdef QCAP_GREEDY_TRACE
-    std::fprintf(stderr, "pick %s -> B%zu (cur=%.3f scaled=%.3f addUpd=%.3f)\n",
-                 c.label.c_str(), target + 1, current_load[target],
-                 scaled_load[target], added_updates);
-#endif
 
     if (p.is_update) {
       // Lines 20-23. (CloseUpdatesOnBackend has already pinned the class.)
@@ -245,28 +217,13 @@ Result<Allocation> GreedyAllocator::Allocate(
         alloc.add_read_assign(target, r, room);
         rest_weight[r] -= room;
         current_load[target] = scaled_load[target];
-        queue.push_back(p);  // Still pending.
+        push(p);  // Still pending, behind every equal key.
       } else {
         alloc.add_read_assign(target, r, rest_weight[r]);
         current_load[target] += rest_weight[r];
         rest_weight[r] = 0.0;
       }
     }
-
-    // Line 33: re-sort pending classes, descending remaining weight
-    // (including co-allocated updates) x size.
-    std::stable_sort(queue.begin(), queue.end(),
-                     [&](const Pending& a, const Pending& b) {
-                       const double wa =
-                           a.is_update
-                               ? bundle_weight(a)
-                               : rest_weight[a.index] + overlap_weight(a);
-                       const double wb =
-                           b.is_update
-                               ? bundle_weight(b)
-                               : rest_weight[b.index] + overlap_weight(b);
-                       return wa * bundle_size(a) > wb * bundle_size(b);
-                     });
   }
 
   alloc_internal::PlaceOrphanFragments(cls, &alloc);

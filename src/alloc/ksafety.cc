@@ -4,19 +4,15 @@
 #include <cmath>
 #include <limits>
 
+#include "alloc/pending_queue.h"
+
 namespace qcap {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct Pending {
-  size_t index = 0;
-  bool is_update = false;
-  /// True for the zero-weight extra copies added for k-safety (the members
-  /// of the multiset Ck in Algorithm 4).
-  bool is_replica = false;
-};
+using alloc_internal::PendingClass;
 
 }  // namespace
 
@@ -41,41 +37,38 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
   const ClassificationIndex index(cls);
   Allocation alloc(n, cls.catalog, cls.reads.size(), cls.updates.size());
 
-  // Lines 1-2: C* plus the initial replica multiset Ck (update classes not
-  // covered by any read class need k extra explicit copies).
-  std::vector<Pending> queue;
+  // Not-yet-assigned weight per read class; part of its queue key.
+  std::vector<double> rest_weight(cls.reads.size());
   for (size_t r = 0; r < cls.reads.size(); ++r) {
-    queue.push_back(Pending{r, false, false});
+    rest_weight[r] = cls.reads[r].weight;
+  }
+  // Lines 1-2: C* plus the initial replica multiset Ck (update classes not
+  // covered by any read class need k extra explicit copies), ordered by
+  // descending weight x size (alloc/pending_queue.h).
+  alloc_internal::PendingQueue queue;
+  queue.Reserve(cls.reads.size() + cls.updates.size());
+  auto push = [&](const PendingClass& p) {
+    queue.Push(p, alloc_internal::PendingKey(index, p, rest_weight));
+  };
+  for (size_t r = 0; r < cls.reads.size(); ++r) {
+    push(PendingClass{r, false, false});
   }
   for (size_t u = 0; u < cls.updates.size(); ++u) {
     if (index.reads_overlapping_update(u).empty()) {
-      queue.push_back(Pending{u, true, false});
+      push(PendingClass{u, true, false});
       for (int copy = 0; copy < k; ++copy) {
-        queue.push_back(Pending{u, true, true});
+        push(PendingClass{u, true, true});
       }
     }
   }
 
-  auto class_of = [&](const Pending& p) -> const QueryClass& {
+  auto class_of = [&](const PendingClass& p) -> const QueryClass& {
     return p.is_update ? cls.updates[p.index] : cls.reads[p.index];
   };
-  auto class_bits = [&](const Pending& p) -> ConstBitSpan {
+  auto class_bits = [&](const PendingClass& p) -> ConstBitSpan {
     return p.is_update ? index.update_bits(p.index) : index.read_bits(p.index);
   };
-  auto overlap_weight = [&](const Pending& p) {
-    return p.is_update ? index.update_overlapping_update_weight(p.index)
-                       : index.read_overlapping_update_weight(p.index);
-  };
-  auto bundle_weight = [&](const Pending& p) {
-    double w = overlap_weight(p);
-    if (!p.is_update && !p.is_replica) w += class_of(p).weight;
-    return w;
-  };
-  auto bundle_size = [&](const Pending& p) {
-    return p.is_update ? index.update_bundle_bytes(p.index)
-                       : index.read_bundle_bytes(p.index);
-  };
-  auto bundle_bits = [&](const Pending& p) -> ConstBitSpan {
+  auto bundle_bits = [&](const PendingClass& p) -> ConstBitSpan {
     return p.is_update ? index.update_bundle_bits(p.index)
                        : index.read_bundle_bits(p.index);
   };
@@ -84,10 +77,7 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
   std::vector<double> current_load(n, 0.0);
   std::vector<double> scaled_load(n);
   for (size_t b = 0; b < n; ++b) scaled_load[b] = backends[b].relative_load;
-  std::vector<double> rest_weight(cls.reads.size());
-  for (size_t r = 0; r < cls.reads.size(); ++r) {
-    rest_weight[r] = cls.reads[r].weight;
-  }
+  std::vector<double> difference(n);
   std::vector<bool> replicas_added(cls.reads.size(), false);
 
   size_t max_iters = options_.max_iterations;
@@ -97,28 +87,11 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
   }
   size_t iters = 0;
 
-  auto resort = [&]() {
-    std::stable_sort(queue.begin(), queue.end(),
-                     [&](const Pending& a, const Pending& b) {
-                       const double wa = (!a.is_update && !a.is_replica)
-                                             ? rest_weight[a.index] +
-                                                   overlap_weight(a)
-                                             : bundle_weight(a);
-                       const double wb = (!b.is_update && !b.is_replica)
-                                             ? rest_weight[b.index] +
-                                                   overlap_weight(b)
-                                             : bundle_weight(b);
-                       return wa * bundle_size(a) > wb * bundle_size(b);
-                     });
-  };
-  resort();
-
   while (!queue.empty()) {
     if (++iters > max_iters) {
       return Status::Internal("k-safe greedy allocation did not converge");
     }
-    const Pending p = queue.front();
-    queue.erase(queue.begin());
+    const PendingClass p = queue.Pop();
     const QueryClass& c = class_of(p);
 
     // Scale every backend if all are full (Lines 8-10).
@@ -139,7 +112,6 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
     // Differences (Lines 11-17); replicas must not land on a backend that
     // already holds the class (Line 12).
     const ConstBitSpan bundle = bundle_bits(p);
-    std::vector<double> difference(n);
     for (size_t b = 0; b < n; ++b) {
       const bool full = current_load[b] >= scaled_load[b] - eps;
       const bool already_holds =
@@ -207,7 +179,7 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
         alloc.add_read_assign(target, r, room);
         rest_weight[r] -= room;
         current_load[target] = scaled_load[target];
-        queue.push_back(p);
+        push(p);
       } else {
         alloc.add_read_assign(target, r, rest_weight[r]);
         current_load[target] += rest_weight[r];
@@ -222,12 +194,11 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
           }
           for (size_t copy = holders; copy < static_cast<size_t>(k) + 1;
                ++copy) {
-            queue.push_back(Pending{r, false, true});
+            push(PendingClass{r, false, true});
           }
         }
       }
     }
-    resort();
   }
 
   // Eq. 46 for everything not covered by class replication (unreferenced
