@@ -39,6 +39,7 @@
 
 #include "alloc/ksafety.h"
 #include "autonomic/control_loop.h"
+#include "bench_util.h"
 #include "cluster/scheduler.h"
 #include "common/thread_pool.h"
 #include "net/dispatcher.h"
@@ -213,42 +214,6 @@ Result<AdaptiveReport> RunDay(const Scenario& scenario, uint64_t seed,
   return report;
 }
 
-/// Bit-exact serialization of everything a replay decides and observes;
-/// string equality == report equality.
-std::string Serialize(const AdaptiveReport& report) {
-  std::string out;
-  char line[320];
-  for (const AdaptiveStep& s : report.steps) {
-    std::snprintf(
-        line, sizeof(line),
-        "S %.17g %zu %.17g %.17g %.17g %.17g %.17g %.17g %d %d %d %llu "
-        "%llu %llu %zu\n",
-        s.tod_seconds, s.nodes, s.offered_qps, s.p99_ms, s.avg_ms,
-        s.availability, s.utilization, s.drift, static_cast<int>(s.decision),
-        static_cast<int>(s.phase), s.swapped ? 1 : 0,
-        static_cast<unsigned long long>(s.completed),
-        static_cast<unsigned long long>(s.failed),
-        static_cast<unsigned long long>(s.rejected), s.dead_backends);
-    out += line;
-  }
-  for (const TransitionRecord& t : report.transitions) {
-    std::snprintf(line, sizeof(line),
-                  "T %d %.17g %.17g %.17g %.17g %zu %zu %.17g %.17g %.17g "
-                  "%.17g %d %d\n",
-                  static_cast<int>(t.action), t.decided_seconds,
-                  t.swap_seconds, t.moved_bytes, t.etl_seconds,
-                  t.nodes_before, t.nodes_after, t.p99_before_ms,
-                  t.p99_during_ms, t.p99_after_ms, t.availability_during,
-                  t.aborted ? 1 : 0, t.completed ? 1 : 0);
-    out += line;
-  }
-  std::snprintf(line, sizeof(line), "R %.17g %.17g %.17g %.17g\n",
-                report.slo_attainment, report.availability,
-                report.worst_p99_ms, report.node_seconds);
-  out += line;
-  return out;
-}
-
 /// Replays a fixed read stream through a live Dispatcher that hot-swaps
 /// from \p before to \p after mid-stream, mirroring every decision with a
 /// hand-driven Scheduler (rotation and pending depths carried across the
@@ -381,10 +346,10 @@ int main(int argc, char** argv) {
       report.scale_ins, report.self_heals);
 
   // --- Self-check 1: same-seed determinism -------------------------------
-  const std::string fingerprint = Serialize(report);
+  const std::string fingerprint = bench::Serialize(report);
   auto second = RunDay(scenario, config.seed);
   const bool deterministic =
-      second.ok() && Serialize(*second) == fingerprint;
+      second.ok() && bench::Serialize(*second) == fingerprint;
   std::printf("determinism: %s\n", deterministic ? "OK" : "FAILED");
 
   // --- Self-check 2: replications identical at any thread count ----------
@@ -393,7 +358,7 @@ int main(int argc, char** argv) {
   auto replicate = [&](std::vector<std::string>* out, ThreadPool* pool) {
     ParallelFor(pool, out->size(), [&](size_t r) {
       auto rep = RunDay(scenario, config.seed + r);
-      (*out)[r] = rep.ok() ? Serialize(*rep) : "error";
+      (*out)[r] = rep.ok() ? bench::Serialize(*rep) : "error";
     });
   };
   {

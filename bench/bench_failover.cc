@@ -1,22 +1,26 @@
 // E27: failure/recovery lifecycle -- what k-safety and the self-healing
-// controller buy when a backend crashes mid-run.
+// control loop buy when a backend crashes mid-run.
 //
 // TPC-App on 5 backends, open loop. A 0-safe greedy allocation loses
 // exclusively-held classes when their backend dies (rejections until the
 // horizon); a k=1-safe allocation serves the whole offered load through the
-// crash (only retries/redispatches), and the self-healing controller
-// detects the k-safety violation, re-allocates with a virtual replacement
-// backend, and reports a finite recovery time. The timeline section shows
-// the throughput dip and recovery around the fault. Every run is
+// crash (only retries/redispatches), and the AdaptiveController, replaying
+// the same crash in 1 s control intervals, detects the k-safety violation,
+// migrates live onto the survivors plus a replacement, and reports a finite
+// recovery time (crash to routing swap). The timeline section shows the
+// throughput dip and recovery around the fault. Every run is
 // bit-deterministic for the fixed seed; the bench re-runs the self-healing
 // scenario and fails loudly if any counter differs.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <vector>
 
 #include "alloc/greedy.h"
 #include "alloc/ksafety.h"
+#include "autonomic/control_loop.h"
 #include "bench_util.h"
-#include "cluster/controller.h"
 #include "workloads/tpcapp.h"
 
 namespace qcap::bench {
@@ -64,8 +68,54 @@ void PrintStatsRow(const char* label, const SimStats& stats) {
             std::to_string(stats.failed_requests),
             std::to_string(stats.retried_requests),
             std::to_string(stats.redispatched_requests),
-            Fmt(stats.p99_response_seconds * 1e3, 2),
-            Fmt(stats.recovery_seconds, 2)},
+            Fmt(stats.p99_response_seconds * 1e3, 2), "-"},
+           13);
+}
+
+/// The crash replayed through the AdaptiveController in 1 s control
+/// intervals, with only the self-heal path armed (fixed size, no drift or
+/// SLO decisions): the first interval boundary after the crash sees the
+/// Algorithm-3 violation and begins a live migration onto survivors + a
+/// replacement.
+AdaptiveReport SelfHeal(const Pipeline& p, Allocator* allocator,
+                        size_t victim) {
+  AdaptiveOptions options;
+  options.min_nodes = options.max_nodes = p.backends.size();
+  options.k_safety = 1;
+  options.drift_threshold = std::numeric_limits<double>::infinity();
+  options.slo_p99_ms = 1e9;
+  options.cooldown_buckets = 0;
+  options.bucket_seconds = 1.0;
+  options.slice_seconds = 1.0;
+  options.sim = BaseConfig();
+  AdaptiveController controller(p.cls, allocator, options);
+  CheckOk(controller.Install(p.backends.size()), "self-heal install");
+  std::vector<BucketDemand> day(static_cast<size_t>(kDuration));
+  for (size_t i = 0; i < day.size(); ++i) {
+    day[i].tod_seconds = static_cast<double>(i);
+    day[i].offered_qps = kRate;
+  }
+  FaultPlan faults;
+  faults.Crash(kCrashTime, victim);
+  return ValueOrDie(controller.ReplayDay(day, faults), "self-healing run");
+}
+
+/// The self-heal run as a table row: the totals over its control
+/// intervals. The controller does not report retries, and its p99 is the
+/// worst interval's.
+void PrintHealRow(const AdaptiveReport& report, double recovery) {
+  uint64_t completed = 0;
+  uint64_t rejected = 0;
+  uint64_t failed = 0;
+  for (const AdaptiveStep& step : report.steps) {
+    completed += step.completed;
+    rejected += step.rejected;
+    failed += step.failed;
+  }
+  PrintRow({"self-heal", Fmt(static_cast<double>(completed) / kDuration, 1),
+            Fmt(report.availability * 100.0, 3), std::to_string(rejected),
+            std::to_string(failed), "-", "-", Fmt(report.worst_p99_ms, 2),
+            Fmt(recovery, 2)},
            13);
 }
 
@@ -76,19 +126,6 @@ void PrintTimeline(const char* label, const SimStats& stats) {
     std::printf(" %llu", static_cast<unsigned long long>(c));
   }
   std::printf("\n");
-}
-
-bool SameRun(const SimStats& a, const SimStats& b) {
-  return a.completed_reads == b.completed_reads &&
-         a.completed_updates == b.completed_updates &&
-         a.failed_requests == b.failed_requests &&
-         a.rejected_requests == b.rejected_requests &&
-         a.retried_requests == b.retried_requests &&
-         a.redispatched_requests == b.redispatched_requests &&
-         a.lag_tasks_drained == b.lag_tasks_drained &&
-         a.avg_response_seconds == b.avg_response_seconds &&
-         a.p99_response_seconds == b.p99_response_seconds &&
-         a.timeline_completions == b.timeline_completions;
 }
 
 void Run() {
@@ -134,36 +171,39 @@ void Run() {
   const std::vector<SimStats> safe_crash = simulate(safe, crash_config);
   PrintStatsRow("ksafe k=1", safe_crash[0]);
 
-  // Self-healing controller: same crash, but Algorithm 3 notices the lost
-  // redundancy and the repaired replacement rejoins after detection + ETL.
-  Controller controller(catalog);
-  controller.SetHistory(journal);
-  CheckOk(controller
-              .Reallocate(&ksafe, HomogeneousBackends(5),
-                          {Granularity::kTable, 4, true})
-              .status(),
-          "controller reallocate");
-  SelfHealingOptions heal;
-  heal.allocator = &ksafe;
-  heal.k_safety = 1;
-  auto healed = ValueOrDie(
-      controller.ProcessOpenSelfHealing(kDuration, kRate, crash_config, heal),
-      "self-healing run");
-  PrintStatsRow("self-heal", healed.stats);
+  // Self-heal: same crash, but the control loop notices the lost
+  // redundancy and migrates live onto survivors + a replacement.
+  const AdaptiveReport healed = SelfHeal(safe, &ksafe, victim);
+  const TransitionRecord* heal = nullptr;
+  for (const TransitionRecord& t : healed.transitions) {
+    if (t.action == AdaptiveAction::kSelfHeal && t.completed) heal = &t;
+  }
+  const double recovery =
+      heal != nullptr ? heal->swap_seconds - kCrashTime : 0.0;
+  PrintHealRow(healed, recovery);
 
   std::printf("\n");
   PrintTimeline("greedy k=0", unsafe_crash[0]);
   PrintTimeline("ksafe k=1 ", safe_crash[0]);
-  PrintTimeline("self-heal ", healed.stats);
+  std::printf("self-heal  timeline (completions per %.0fs bin):",
+              healthy_config.timeline_bin_seconds);
+  const size_t bin = static_cast<size_t>(healthy_config.timeline_bin_seconds);
+  for (size_t i = 0; i < healed.steps.size(); i += bin) {
+    uint64_t completed = 0;
+    for (size_t j = i; j < std::min(i + bin, healed.steps.size()); ++j) {
+      completed += healed.steps[j].completed;
+    }
+    std::printf(" %llu", static_cast<unsigned long long>(completed));
+  }
+  std::printf("\n");
 
-  for (const RepairAction& repair : healed.repairs) {
+  if (heal != nullptr) {
     std::printf(
-        "\nrepair: backend %zu crashed t=%.1fs, violation \"%s\", ETL %.2f GB "
-        "in %.1fs, rejoined t=%.1fs (recovery %.1fs)\n",
-        repair.backend + 1, repair.crash_seconds, repair.violation.c_str(),
-        repair.plan.total_bytes / (1024.0 * 1024.0 * 1024.0),
-        repair.plan.duration_seconds, repair.recover_seconds,
-        repair.recover_seconds - repair.crash_seconds);
+        "\nself-heal: backend %zu crashed t=%.1fs, decided t=%.1fs (%s), "
+        "ETL %.3f GB in %.1fs, routing swap t=%.1fs (recovery %.1fs)\n",
+        victim + 1, kCrashTime, heal->decided_seconds, heal->cause.c_str(),
+        heal->moved_bytes / (1024.0 * 1024.0 * 1024.0), heal->etl_seconds,
+        heal->swap_seconds, recovery);
   }
 
   // Acceptance + determinism guards: fail loudly if the lifecycle
@@ -180,15 +220,15 @@ void Run() {
       std::exit(1);
     }
   }
-  if (healed.repairs.empty() || healed.stats.recovery_seconds <= 0.0) {
+  if (heal == nullptr || !(recovery > 0.0) || healed.self_heals != 1) {
     std::fprintf(stderr, "FATAL: self-healing must report a finite repair\n");
     std::exit(1);
   }
-  auto healed2 = ValueOrDie(
-      controller.ProcessOpenSelfHealing(kDuration, kRate, crash_config, heal),
-      "self-healing rerun");
-  if (!SameRun(healed.stats, healed2.stats) ||
-      healed.stats.recovery_seconds != healed2.stats.recovery_seconds) {
+  if (healed.availability != 1.0) {
+    std::fprintf(stderr, "FATAL: the self-heal run must serve the full load\n");
+    std::exit(1);
+  }
+  if (Serialize(healed) != Serialize(SelfHeal(safe, &ksafe, victim))) {
     std::fprintf(stderr, "FATAL: self-healing run is not deterministic\n");
     std::exit(1);
   }

@@ -11,6 +11,7 @@
 
 #include "alloc/allocator.h"
 #include "alloc/search_kernel.h"
+#include "autonomic/control_loop.h"
 #include "cluster/simulator.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -207,6 +208,42 @@ template <typename T>
 inline T ValueOrDie(Result<T> result, const char* what) {
   CheckOk(result.status(), what);
   return std::move(result).value();
+}
+
+/// Bit-exact serialization of everything a replay decides and observes;
+/// string equality == report equality.
+inline std::string Serialize(const AdaptiveReport& report) {
+  std::string out;
+  char line[320];
+  for (const AdaptiveStep& s : report.steps) {
+    std::snprintf(
+        line, sizeof(line),
+        "S %.17g %zu %.17g %.17g %.17g %.17g %.17g %.17g %d %d %d %llu "
+        "%llu %llu %zu\n",
+        s.tod_seconds, s.nodes, s.offered_qps, s.p99_ms, s.avg_ms,
+        s.availability, s.utilization, s.drift, static_cast<int>(s.decision),
+        static_cast<int>(s.phase), s.swapped ? 1 : 0,
+        static_cast<unsigned long long>(s.completed),
+        static_cast<unsigned long long>(s.failed),
+        static_cast<unsigned long long>(s.rejected), s.dead_backends);
+    out += line;
+  }
+  for (const TransitionRecord& t : report.transitions) {
+    std::snprintf(line, sizeof(line),
+                  "T %d %.17g %.17g %.17g %.17g %zu %zu %.17g %.17g %.17g "
+                  "%.17g %d %d\n",
+                  static_cast<int>(t.action), t.decided_seconds,
+                  t.swap_seconds, t.moved_bytes, t.etl_seconds,
+                  t.nodes_before, t.nodes_after, t.p99_before_ms,
+                  t.p99_during_ms, t.p99_after_ms, t.availability_during,
+                  t.aborted ? 1 : 0, t.completed ? 1 : 0);
+    out += line;
+  }
+  std::snprintf(line, sizeof(line), "R %.17g %.17g %.17g %.17g\n",
+                report.slo_attainment, report.availability,
+                report.worst_p99_ms, report.node_seconds);
+  out += line;
+  return out;
 }
 
 }  // namespace qcap::bench

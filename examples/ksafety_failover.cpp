@@ -2,15 +2,16 @@
 // kill each backend in turn and check whether the surviving cluster can
 // still execute every query class locally (Algorithm 3, Appendix C) —
 // then run a full crash -> repair -> recover lifecycle through the
-// self-healing controller.
+// adaptive control loop's self-heal.
 //
 // Build & run:  ./build/examples/ksafety_failover
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "alloc/greedy.h"
 #include "alloc/ksafety.h"
-#include "cluster/controller.h"
+#include "autonomic/control_loop.h"
 #include "model/metrics.h"
 #include "model/validation.h"
 #include "workload/classifier.h"
@@ -70,49 +71,60 @@ int main() {
       "k=1 survives any single failure (k=2 any double failure) at the "
       "cost of extra storage and, for update classes, extra write work.\n");
 
-  // Crash -> repair -> recover: the self-healing controller re-checks
-  // k-safety after the crash (Algorithm 3), re-allocates with a virtual
-  // replacement backend, and the repaired node rejoins after detection +
-  // ETL, draining the updates it missed.
-  std::printf("\ncrash -> repair -> recover (self-healing controller)\n");
+  // Crash -> repair -> recover: the control loop re-checks k-safety at the
+  // end of every 1 s interval (Algorithm 3); after the crash it re-plans
+  // onto the survivors plus a replacement and migrates live until the
+  // atomic routing swap.
+  std::printf("\ncrash -> repair -> recover (adaptive control loop)\n");
   KSafeGreedyAllocator ksafe({1, 1e-12, 0});
-  Controller controller(catalog);
-  controller.SetHistory(journal);
-  auto report =
-      controller.Reallocate(&ksafe, backends, {Granularity::kTable, 4, true});
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+  AdaptiveOptions options;
+  options.min_nodes = options.max_nodes = backends.size();
+  options.k_safety = 1;
+  options.drift_threshold = std::numeric_limits<double>::infinity();
+  options.slo_p99_ms = 1e9;
+  options.cooldown_buckets = 0;
+  options.bucket_seconds = 1.0;
+  options.slice_seconds = 1.0;
+  options.sim.seed = 9;
+  AdaptiveController controller(cls.value(), &ksafe, options);
+  Status installed = controller.Install(backends.size());
+  if (!installed.ok()) {
+    std::fprintf(stderr, "%s\n", installed.ToString().c_str());
     return 1;
   }
-  SimulationConfig config;
-  config.seed = 9;
-  config.fault_plan.Crash(20.0, 2);
-  SelfHealingOptions heal;
-  heal.allocator = &ksafe;
-  heal.k_safety = 1;
-  auto healed = controller.ProcessOpenSelfHealing(60.0, 400.0, config, heal);
+  std::vector<BucketDemand> day(60);
+  for (size_t i = 0; i < day.size(); ++i) {
+    day[i].tod_seconds = static_cast<double>(i);
+    day[i].offered_qps = 400.0;
+  }
+  const size_t victim = 2;
+  const double crash_seconds = 20.0;
+  FaultPlan faults;
+  faults.Crash(crash_seconds, victim);
+  auto healed = controller.ReplayDay(day, faults);
   if (!healed.ok()) {
     std::fprintf(stderr, "%s\n", healed.status().ToString().c_str());
     return 1;
   }
-  for (const RepairAction& repair : healed->repairs) {
+  for (const TransitionRecord& t : healed->transitions) {
+    if (t.action != AdaptiveAction::kSelfHeal || !t.completed) continue;
     std::printf(
-        "  backend %zu crashed at t=%.1fs: %s\n"
-        "  repair ETL moves %.2f GB in %.1fs; replacement rejoined at "
-        "t=%.1fs (recovery %.1fs)\n",
-        repair.backend + 1, repair.crash_seconds, repair.violation.c_str(),
-        repair.plan.total_bytes / (1024.0 * 1024.0 * 1024.0),
-        repair.plan.duration_seconds, repair.recover_seconds,
-        repair.recover_seconds - repair.crash_seconds);
+        "  backend %zu crashed at t=%.1fs; decided at t=%.1fs: %s\n"
+        "  repair ETL moves %.2f GB; routing swapped to the repaired layout "
+        "at t=%.1fs (recovery %.1fs)\n",
+        victim + 1, crash_seconds, t.decided_seconds, t.cause.c_str(),
+        t.moved_bytes / (1024.0 * 1024.0 * 1024.0), t.swap_seconds,
+        t.swap_seconds - crash_seconds);
   }
-  const SimStats& stats = healed->stats;
+  uint64_t rejected = 0;
+  uint64_t failed = 0;
+  for (const AdaptiveStep& step : healed->steps) {
+    rejected += step.rejected;
+    failed += step.failed;
+  }
   std::printf(
-      "  served %.2f%% of the offered load (rejected=%llu, retried=%llu, "
-      "redispatched=%llu, lag drained=%llu)\n",
-      stats.availability * 100.0,
-      static_cast<unsigned long long>(stats.rejected_requests),
-      static_cast<unsigned long long>(stats.retried_requests),
-      static_cast<unsigned long long>(stats.redispatched_requests),
-      static_cast<unsigned long long>(stats.lag_tasks_drained));
+      "  served %.2f%% of the offered load (rejected=%llu, failed=%llu)\n",
+      healed->availability * 100.0, static_cast<unsigned long long>(rejected),
+      static_cast<unsigned long long>(failed));
   return 0;
 }

@@ -65,6 +65,16 @@ AdaptiveController::AdaptiveController(const Classification& base,
 
 Status AdaptiveController::Install(size_t nodes) {
   if (nodes == 0) return Status::InvalidArgument("nodes must be > 0");
+  if (allocator_ == nullptr) {
+    return Status::InvalidArgument("allocator must not be null");
+  }
+  if (!(options_.bucket_seconds > 0.0) || !(options_.slice_seconds > 0.0)) {
+    return Status::InvalidArgument(
+        "bucket_seconds and slice_seconds must be > 0");
+  }
+  if (options_.min_nodes > options_.max_nodes) {
+    return Status::InvalidArgument("min_nodes must be <= max_nodes");
+  }
   QCAP_ASSIGN_OR_RETURN(
       alloc_, allocator_->Allocate(base_, HomogeneousBackends(nodes)));
   nodes_ = nodes;

@@ -88,7 +88,7 @@ struct AdaptiveOptions {
   /// Real seconds per control interval (trace bucket).
   double bucket_seconds = 600.0;
   /// Simulated seconds per interval: a representative slice keeps the
-  /// replay cheap, as in autonomic/scaler.h.
+  /// replay cheap.
   double slice_seconds = 12.0;
   MigrationOptions migration;
   /// ETL rates the Hungarian transition planner prices migrations with.
@@ -174,6 +174,8 @@ class AdaptiveController {
                      AdaptiveOptions options);
 
   /// Computes and installs the initial allocation on \p nodes backends.
+  /// Fails on a null allocator, non-positive bucket or slice seconds, or
+  /// min_nodes > max_nodes.
   Status Install(size_t nodes);
 
   /// Runs one control interval: simulates the offered load on the current
@@ -244,9 +246,9 @@ class AdaptiveController {
   Status BeginResegmentation(double decided_seconds, double p99_before_ms);
 
   // The controller is single-threaded by contract: every entry point runs
-  // on the operator's control thread (docs/ADAPTIVE.md), and cross-thread
-  // work happens through the Dispatcher's own routing lock, never by
-  // sharing this state. Confined, not guarded.
+  // on the operator's control thread (docs/ARCHITECTURE.md § Adaptive
+  // control loop), and cross-thread work happens through the Dispatcher's
+  // own routing lock, never by sharing this state. Confined, not guarded.
   QCAP_THREAD_CONFINED("operator control thread")
   Classification base_;
   Allocator* allocator_;

@@ -1,30 +1,10 @@
 #include "cluster/controller.h"
 
-#include <algorithm>
-#include <queue>
-
 #include "model/metrics.h"
 #include "model/validation.h"
 #include "workload/sql_parser.h"
 
 namespace qcap {
-
-namespace {
-
-/// The current allocation restricted to the surviving backends: dead
-/// backends keep their slot but lose their placements, so the Hungarian
-/// matching sees an empty node to map the replacement onto.
-Allocation SurvivorPlacements(const Allocation& alloc,
-                              const std::vector<bool>& alive) {
-  Allocation degraded(alloc.num_backends(), alloc.num_fragments(),
-                      alloc.num_reads(), alloc.num_updates());
-  for (size_t b = 0; b < alloc.num_backends(); ++b) {
-    if (alive[b]) degraded.PlaceSet(b, alloc.BackendFragments(b));
-  }
-  return degraded;
-}
-
-}  // namespace
 
 Status Controller::RecordSql(const std::string& sql, double cost_seconds,
                              uint64_t count) {
@@ -63,7 +43,6 @@ Result<AllocationReport> Controller::Reallocate(
         physical_.InitialLoad(alloc, cls.catalog, needs_fragmentation));
   }
 
-  report.needs_fragmentation = needs_fragmentation;
   report.classification = std::move(cls);
   report.allocation = std::move(alloc);
   current_ = std::move(report);
@@ -108,111 +87,6 @@ Result<std::vector<SimStats>> Controller::ProcessOpenSweep(
       ClusterSimulator::Create(current_->classification, current_->allocation,
                                backends_, config));
   return sim.RunOpenSweep(duration_seconds, arrival_rate, sweep);
-}
-
-Result<SelfHealingReport> Controller::ProcessOpenSelfHealing(
-    double duration_seconds, double arrival_rate,
-    const SimulationConfig& config, const SelfHealingOptions& options) const {
-  if (!current_.has_value()) {
-    return Status::InvalidArgument("no allocation installed; call Reallocate");
-  }
-  if (options.allocator == nullptr) {
-    return Status::InvalidArgument("self-healing requires a repair allocator");
-  }
-  if (options.detection_seconds < 0.0) {
-    return Status::InvalidArgument("detection_seconds must be >= 0");
-  }
-  const Classification& cls = current_->classification;
-  const Allocation& alloc = current_->allocation;
-  const size_t n = backends_.size();
-
-  FaultPlan user = config.fault_plan;
-  for (const BackendFailure& f : config.failures) {
-    user.Crash(f.time_seconds, f.backend);
-  }
-  QCAP_RETURN_NOT_OK(user.Validate(n));
-
-  // Replay the fault schedule through the failure-detection loop, injecting
-  // a recover event for every autonomic repair. The replay mirrors the
-  // simulator's alive-tracking, so the emitted plan stays consistent (no
-  // recover of a live node, no crash of a dead one) and passes strict
-  // validation again inside the simulator.
-  struct Pending {
-    double time;
-    uint64_t seq;
-    FaultEvent event;
-    bool operator>(const Pending& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
-    }
-  };
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>> q;
-  uint64_t seq = 0;
-  for (const FaultEvent& ev : user.Sorted()) {
-    q.push(Pending{ev.time_seconds, seq++, ev});
-  }
-
-  SelfHealingReport report;
-  FaultPlan effective;
-  std::vector<bool> alive(n, true);
-  while (!q.empty()) {
-    const Pending p = q.top();
-    q.pop();
-    const FaultEvent& ev = p.event;
-    switch (ev.kind) {
-      case FaultEvent::Kind::kCrash: {
-        if (!alive[ev.backend]) break;  // crashed while awaiting repair
-        alive[ev.backend] = false;
-        effective.Crash(ev.time_seconds, ev.backend);
-        Status safe = CheckKSafety(cls, alloc, alive, options.k_safety);
-        if (safe.ok()) break;
-        // Algorithm 3 flagged the surviving allocation: re-allocate with a
-        // virtual replacement backend in the failed slot and plan the ETL
-        // onto the survivors.
-        RepairAction action;
-        action.backend = ev.backend;
-        action.crash_seconds = ev.time_seconds;
-        action.violation = safe.message();
-        QCAP_ASSIGN_OR_RETURN(Allocation repaired,
-                              options.allocator->Allocate(cls, backends_));
-        QCAP_RETURN_NOT_OK(ValidateAllocation(cls, repaired, backends_));
-        QCAP_ASSIGN_OR_RETURN(
-            action.plan,
-            physical_.Plan(SurvivorPlacements(alloc, alive), repaired,
-                           cls.catalog, current_->needs_fragmentation));
-        action.recover_seconds = ev.time_seconds + options.detection_seconds +
-                                 action.plan.duration_seconds;
-        q.push(Pending{action.recover_seconds, seq++,
-                       FaultEvent{FaultEvent::Kind::kRecover,
-                                  action.recover_seconds, ev.backend, 1.0}});
-        report.repairs.push_back(std::move(action));
-        break;
-      }
-      case FaultEvent::Kind::kRecover:
-        if (alive[ev.backend]) break;  // superseded by an earlier repair
-        alive[ev.backend] = true;
-        effective.Recover(ev.time_seconds, ev.backend);
-        break;
-      case FaultEvent::Kind::kDegrade:
-        if (!alive[ev.backend]) break;
-        effective.Degrade(ev.time_seconds, ev.backend, ev.factor);
-        break;
-    }
-  }
-
-  SimulationConfig run = config;
-  run.failures.clear();
-  run.fault_plan = std::move(effective);
-  QCAP_ASSIGN_OR_RETURN(ClusterSimulator sim,
-                        ClusterSimulator::Create(cls, alloc, backends_, run));
-  QCAP_ASSIGN_OR_RETURN(report.stats,
-                        sim.RunOpen(duration_seconds, arrival_rate));
-  double recovery = 0.0;
-  for (const RepairAction& r : report.repairs) {
-    recovery = std::max(recovery, r.recover_seconds - r.crash_seconds);
-  }
-  report.stats.recovery_seconds = recovery;
-  return report;
 }
 
 }  // namespace qcap

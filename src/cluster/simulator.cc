@@ -688,7 +688,6 @@ void ClusterSimulator::FinishInto(RunState* state, SimStats* out) const {
           ? static_cast<double>(out->completed_total()) /
                 static_cast<double>(offered)
           : 1.0;
-  out->recovery_seconds = 0.0;
   out->timeline_bin_seconds = state->timeline_bin;
   out->timeline_completions = state->timeline;
   out->class_completions.assign(state->class_counts.begin(),

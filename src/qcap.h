@@ -71,5 +71,5 @@
 #include "cluster/simulator.h"
 #include "cluster/stats.h"
 
-#include "autonomic/scaler.h"
+#include "autonomic/control_loop.h"
 #include "autonomic/segmentation.h"

@@ -4,11 +4,16 @@
 //    a reference Scheduler that inherited the rotation and pending state);
 //  - a crash mid-migration aborts the in-flight plan and self-heals
 //    without ever violating k-safety at the end of the day;
-//  - a full day replay is bit-deterministic for a fixed seed.
+//  - a full day replay is bit-deterministic for a fixed seed;
+//  - Install rejects a configuration the loop cannot run;
+//  - the crash self-heal (E27) runs as a plain AdaptiveController
+//    configuration (the Section 5 scaler is pinned in scaler_test).
 #include "autonomic/control_loop.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "net/dispatcher.h"
 #include "test_util.h"
 #include "workload/classifier.h"
+#include "workloads/tpcapp.h"
 #include "workloads/trace.h"
 
 namespace qcap {
@@ -360,6 +366,147 @@ TEST(AdaptiveControllerTest, DayReplayIsBitDeterministic) {
   }
   EXPECT_EQ(a.availability, b.availability);
   EXPECT_EQ(a.worst_p99_ms, b.worst_p99_ms);
+}
+
+// A null allocator, non-positive interval lengths and min > max fail
+// Install; an empty day and a run before Install fail too.
+TEST(AdaptiveControllerTest, RejectsInvalidConfiguration) {
+  LoopFixture fx;
+  GreedyAllocator greedy;
+  const auto install = [&](Allocator* allocator, AdaptiveOptions options) {
+    AdaptiveController controller(fx.cls, allocator, std::move(options));
+    return controller.Install(3);
+  };
+  EXPECT_TRUE(install(&greedy, FastOptions()).ok());
+  EXPECT_TRUE(install(nullptr, FastOptions()).IsInvalidArgument());
+  AdaptiveOptions options = FastOptions();
+  options.bucket_seconds = 0.0;
+  EXPECT_TRUE(install(&greedy, options).IsInvalidArgument());
+  options = FastOptions();
+  options.slice_seconds = -1.0;
+  EXPECT_TRUE(install(&greedy, options).IsInvalidArgument());
+  options = FastOptions();
+  options.min_nodes = 5;
+  options.max_nodes = 4;
+  EXPECT_TRUE(install(&greedy, options).IsInvalidArgument());
+
+  AdaptiveController controller(fx.cls, &greedy, FastOptions());
+  EXPECT_FALSE(controller.Step(Bucket(0.0, 250.0), {}).ok());
+  EXPECT_FALSE(controller.ReplayDay({Bucket(0.0, 250.0)}, FaultPlan{}).ok());
+  ASSERT_TRUE(controller.Install(3).ok());
+  EXPECT_TRUE(controller.ReplayDay({}, FaultPlan{}).status()
+                  .IsInvalidArgument());
+}
+
+// --- Crash self-heal (E27) as a configuration ----------------------------
+
+struct HealFixture {
+  engine::Catalog catalog = workloads::TpcAppCatalog(100.0);
+  Classification cls;
+  KSafeGreedyAllocator ksafe{{1, 1e-12, 0}};
+  /// 60 s at 400 q/s in 1 s control intervals; backend 2 crashes at t=10.
+  std::vector<BucketDemand> day;
+  FaultPlan faults;
+
+  HealFixture() {
+    Classifier classifier(catalog, {Granularity::kTable, 4, true});
+    auto result = classifier.Classify(workloads::TpcAppJournal(20000));
+    EXPECT_TRUE(result.ok());
+    cls = std::move(result).value();
+    for (int i = 0; i < 60; ++i) day.push_back(Bucket(i, 400.0));
+    faults.Crash(10.0, 2);
+  }
+
+  /// Fixed 5-node cluster with only the self-heal path armed.
+  static AdaptiveOptions Options(int k_safety) {
+    AdaptiveOptions options;
+    options.min_nodes = options.max_nodes = 5;
+    options.k_safety = k_safety;
+    options.drift_threshold = std::numeric_limits<double>::infinity();
+    options.slo_p99_ms = 1e9;
+    options.cooldown_buckets = 0;
+    options.bucket_seconds = 1.0;
+    options.slice_seconds = 1.0;
+    options.sim.seed = 9;
+    return options;
+  }
+
+  AdaptiveReport Run(int k_safety) {
+    AdaptiveController controller(cls, &ksafe, Options(k_safety));
+    EXPECT_TRUE(controller.Install(5).ok());
+    auto report = controller.ReplayDay(day, faults);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return std::move(report).value();
+  }
+};
+
+TEST(SelfHealConfigurationTest, RepairsKSafetyViolationWithFiniteRecovery) {
+  HealFixture fx;
+  AdaptiveController controller(fx.cls, &fx.ksafe, HealFixture::Options(1));
+  ASSERT_TRUE(controller.Install(5).ok());
+  auto report = controller.ReplayDay(fx.day, fx.faults);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // One crash under k=1 drops the margin to zero: Algorithm 3 flags it at
+  // the first interval boundary and the loop re-plans onto the survivors
+  // plus a replacement, swapping routing once the copy caught up.
+  ASSERT_EQ(report->transitions.size(), 1u);
+  EXPECT_EQ(report->self_heals, 1u);
+  const TransitionRecord& heal = report->transitions[0];
+  EXPECT_EQ(heal.action, AdaptiveAction::kSelfHeal);
+  EXPECT_TRUE(heal.completed);
+  EXPECT_EQ(heal.decided_seconds, 11.0);
+  EXPECT_GT(heal.swap_seconds, heal.decided_seconds);
+  EXPECT_LT(heal.swap_seconds, 60.0);  // Finite recovery inside the run.
+  EXPECT_GT(heal.etl_seconds, 0.0);
+  EXPECT_GT(heal.moved_bytes, 0.0);
+  EXPECT_NE(heal.cause.find("k-safety violated"), std::string::npos);
+  // The k=1-safe layout plus the repair serve the whole offered load.
+  for (const AdaptiveStep& step : report->steps) {
+    EXPECT_EQ(step.rejected, 0u) << "at t=" << step.tod_seconds;
+    EXPECT_EQ(step.failed, 0u) << "at t=" << step.tod_seconds;
+    const bool down = step.tod_seconds >= 10.0 &&
+                      step.tod_seconds + 1.0 <= heal.swap_seconds;
+    EXPECT_EQ(step.dead_backends, down ? 1u : 0u)
+        << "at t=" << step.tod_seconds;
+  }
+  EXPECT_EQ(report->availability, 1.0);
+  // The repaired cluster is whole again and k-safe.
+  EXPECT_EQ(controller.alive(), std::vector<bool>(5, true));
+  EXPECT_TRUE(CheckKSafety(fx.cls, controller.allocation(),
+                           controller.alive(), 1)
+                  .ok());
+}
+
+TEST(SelfHealConfigurationTest, NoViolationNoRepair) {
+  HealFixture fx;
+  // One crash of a k=1-safe layout keeps every class servable: at k=0
+  // Algorithm 3 passes and nothing is repaired.
+  const AdaptiveReport report = fx.Run(0);
+  EXPECT_TRUE(report.transitions.empty());
+  EXPECT_EQ(report.self_heals, 0u);
+  for (const AdaptiveStep& step : report.steps) {
+    EXPECT_EQ(step.rejected, 0u) << "at t=" << step.tod_seconds;
+  }
+}
+
+TEST(SelfHealConfigurationTest, SelfHealingIsDeterministic) {
+  HealFixture fx;
+  const AdaptiveReport first = fx.Run(1);
+  const AdaptiveReport second = fx.Run(1);
+  ASSERT_EQ(first.steps.size(), second.steps.size());
+  for (size_t i = 0; i < first.steps.size(); ++i) {
+    EXPECT_EQ(first.steps[i].completed, second.steps[i].completed) << i;
+    EXPECT_EQ(first.steps[i].failed, second.steps[i].failed) << i;
+    EXPECT_EQ(first.steps[i].avg_ms, second.steps[i].avg_ms) << i;
+    EXPECT_EQ(first.steps[i].p99_ms, second.steps[i].p99_ms) << i;
+  }
+  ASSERT_EQ(first.transitions.size(), second.transitions.size());
+  for (size_t i = 0; i < first.transitions.size(); ++i) {
+    EXPECT_EQ(first.transitions[i].swap_seconds,
+              second.transitions[i].swap_seconds);
+    EXPECT_EQ(first.transitions[i].moved_bytes,
+              second.transitions[i].moved_bytes);
+  }
 }
 
 }  // namespace

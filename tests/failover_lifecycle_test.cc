@@ -1,11 +1,10 @@
 // Failure/recovery lifecycle: edge-case fault schedules, retry/backoff
-// determinism, straggler degradation, percentiles, and the self-healing
-// controller.
+// determinism, straggler degradation, and percentiles. The self-healing
+// control loop is pinned in control_loop_test.
 #include <gtest/gtest.h>
 
 #include "alloc/greedy.h"
 #include "alloc/ksafety.h"
-#include "cluster/controller.h"
 #include "cluster/simulator.h"
 #include "workload/classifier.h"
 #include "workloads/tpcapp.h"
@@ -242,101 +241,6 @@ TEST(FailoverLifecycleTest, TimelineBinsCountEveryCompletion) {
   for (uint64_t c : stats->timeline_completions) binned += c;
   EXPECT_EQ(binned, stats->completed_total());
   EXPECT_EQ(stats->timeline_bin_seconds, 1.0);
-}
-
-struct ControllerFixture {
-  engine::Catalog catalog = workloads::TpcAppCatalog(100.0);
-  Controller controller{catalog};
-  std::vector<BackendSpec> backends = HomogeneousBackends(5);
-  KSafeGreedyAllocator ksafe{{1, 1e-12, 0}};
-
-  ControllerFixture() {
-    controller.SetHistory(workloads::TpcAppJournal(20000));
-    auto report = controller.Reallocate(&ksafe, backends,
-                                        {Granularity::kTable, 4, true});
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-  }
-};
-
-TEST(SelfHealingControllerTest, RepairsKSafetyViolationWithFiniteRecovery) {
-  ControllerFixture fx;
-  SimulationConfig config;
-  config.seed = 9;
-  config.fault_plan.Crash(10.0, 2);
-  SelfHealingOptions options;
-  options.allocator = &fx.ksafe;
-  options.k_safety = 1;
-  auto report = fx.controller.ProcessOpenSelfHealing(60.0, 400.0, config,
-                                                     options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  // One crash under k=1 drops the margin to zero: Algorithm 3 flags it and
-  // the controller repairs by re-allocating onto a virtual replacement.
-  ASSERT_EQ(report->repairs.size(), 1u);
-  const RepairAction& repair = report->repairs[0];
-  EXPECT_EQ(repair.backend, 2u);
-  EXPECT_GT(repair.recover_seconds, repair.crash_seconds);
-  EXPECT_GT(repair.plan.duration_seconds, 0.0);
-  EXPECT_GT(repair.plan.total_bytes, 0.0);
-  EXPECT_FALSE(repair.violation.empty());
-  EXPECT_GT(report->stats.recovery_seconds, 0.0);
-  EXPECT_EQ(report->stats.recovery_seconds,
-            repair.recover_seconds - repair.crash_seconds);
-  // The k=1-safe layout plus the repair serve the whole offered load.
-  EXPECT_EQ(report->stats.rejected_requests, 0u);
-  EXPECT_EQ(report->stats.failed_requests, 0u);
-  EXPECT_EQ(report->stats.availability, 1.0);
-  // The rejoined backend drains the updates it missed during the outage.
-  EXPECT_GT(report->stats.lag_tasks_drained, 0u);
-}
-
-TEST(SelfHealingControllerTest, NoViolationNoRepair) {
-  ControllerFixture fx;
-  SimulationConfig config;
-  config.seed = 9;
-  config.fault_plan.Crash(10.0, 2);
-  SelfHealingOptions options;
-  options.allocator = &fx.ksafe;
-  options.k_safety = 0;  // one crash of a k=1-safe layout keeps every class
-  auto report = fx.controller.ProcessOpenSelfHealing(30.0, 400.0, config,
-                                                     options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->repairs.empty());
-  EXPECT_EQ(report->stats.recovery_seconds, 0.0);
-  EXPECT_EQ(report->stats.rejected_requests, 0u);
-}
-
-TEST(SelfHealingControllerTest, SelfHealingIsDeterministic) {
-  ControllerFixture fx;
-  SimulationConfig config;
-  config.seed = 9;
-  config.timeline_bin_seconds = 1.0;
-  config.fault_plan.Crash(10.0, 2);
-  SelfHealingOptions options;
-  options.allocator = &fx.ksafe;
-  options.k_safety = 1;
-  auto first = fx.controller.ProcessOpenSelfHealing(60.0, 400.0, config,
-                                                    options);
-  auto second = fx.controller.ProcessOpenSelfHealing(60.0, 400.0, config,
-                                                     options);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(first->repairs.size(), second->repairs.size());
-  for (size_t i = 0; i < first->repairs.size(); ++i) {
-    EXPECT_EQ(first->repairs[i].recover_seconds,
-              second->repairs[i].recover_seconds);
-  }
-  EXPECT_TRUE(SameStats(first->stats, second->stats));
-  EXPECT_EQ(first->stats.recovery_seconds, second->stats.recovery_seconds);
-}
-
-TEST(SelfHealingControllerTest, RequiresAllocatorAndAllocation) {
-  engine::Catalog catalog = workloads::TpcAppCatalog(100.0);
-  Controller fresh(catalog);
-  SelfHealingOptions options;  // allocator == nullptr
-  EXPECT_FALSE(fresh.ProcessOpenSelfHealing(1.0, 1.0, {}, options).ok());
-  ControllerFixture fx;
-  EXPECT_FALSE(
-      fx.controller.ProcessOpenSelfHealing(1.0, 1.0, {}, options).ok());
 }
 
 }  // namespace
