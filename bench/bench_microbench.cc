@@ -505,8 +505,7 @@ void BM_SimulatorClosedLoopLarge(benchmark::State& state) {
   // calendar's global (time, seq) argmin scans a 1024-entry hi/lo column
   // pair per event pop and each slot change rescans a 4-slot block — the
   // simulator's SIMD hot spot at scale. Class count stays moderate so the
-  // (unchanged, sequential-by-spec) frequency scan does not mask the
-  // event core.
+  // per-request work stays on the event core rather than on sampling.
   static LargeFixture fx = LargeFixture::Make(2000, 2000, 200, 1024);
   SimdArgGuard simd_guard(state);
   SimulationConfig config;
@@ -531,6 +530,82 @@ BENCHMARK(BM_SimulatorClosedLoopLarge)
     ->Arg(1)
     ->MinTime(2.0)
     ->Unit(benchmark::kMillisecond);
+
+/// The perfbench plan-scale instance — 5000 read and 100 update classes
+/// over 1000 fragments, 16 backends — with its greedy allocation.
+struct PlanScaleSimFixture {
+  Classification cls;
+  std::vector<BackendSpec> backends;
+  Allocation alloc;
+};
+
+const PlanScaleSimFixture& PlanScaleSim() {
+  static const PlanScaleSimFixture fx = [] {
+    workloads::ScaleOptions opt;
+    opt.num_fragments = 1000;
+    opt.num_read_classes = 5000;
+    opt.num_update_classes = 100;
+    opt.update_share = 0.25;
+    opt.seed = 1;
+    Classification cls = workloads::MakeScaleClassification(opt);
+    auto backends = HomogeneousBackends(16);
+    Allocation alloc = GreedyAllocator().Allocate(cls, backends).value();
+    return PlanScaleSimFixture{std::move(cls), std::move(backends),
+                               std::move(alloc)};
+  }();
+  return fx;
+}
+
+SimulationConfig PlanScaleSimConfig() {
+  SimulationConfig config;
+  config.servers_per_backend = 4;
+  return config;
+}
+
+void BM_SimulatorCreateScale(benchmark::State& state) {
+  // Simulator set-up at plan scale: the service matrix (scan scales once
+  // per class, bitset eligibility and working sets per backend), the
+  // scheduler and the class-draw prefix table.
+  const PlanScaleSimFixture& fx = PlanScaleSim();
+  const SimulationConfig config = PlanScaleSimConfig();
+  uint64_t allocs = 0;
+  for (auto _ : state) {
+    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    auto sim = ClusterSimulator::Create(fx.cls, fx.alloc, fx.backends, config);
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+    benchmark::DoNotOptimize(sim);
+  }
+  state.counters["allocs/iter"] = static_cast<double>(allocs) /
+                                  static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SimulatorCreateScale)->Unit(benchmark::kMillisecond);
+
+void BM_SimulatorClosedLoopScale(benchmark::State& state) {
+  // Closed-loop drain at plan scale: 5100 classes make the per-request
+  // class draw a visible share of every dispatch.
+  const PlanScaleSimFixture& fx = PlanScaleSim();
+  auto sim = ClusterSimulator::Create(fx.cls, fx.alloc, fx.backends,
+                                      PlanScaleSimConfig())
+                 .value();
+  SimStats out;
+  const uint64_t requests = 50000;
+  // Warm-up grows the pooled run scratch to its high-water mark.
+  if (!sim.RunClosed(requests, 64, &out).ok()) state.SkipWithError("warm-up");
+  uint64_t allocs = 0;
+  for (auto _ : state) {
+    sim.set_seed(sim.seed() + 1);
+    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    auto status = sim.RunClosed(requests, 64, &out);
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+    benchmark::DoNotOptimize(status);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(requests));
+  state.counters["allocs/iter"] = static_cast<double>(allocs) /
+                                  static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SimulatorClosedLoopScale)->Unit(benchmark::kMillisecond);
 
 void BM_LargeSearchFootprint(benchmark::State& state) {
   // Acceptance run: a full garbage-collect + evaluate sweep of all 256

@@ -1,6 +1,7 @@
 #include "cluster/simulator.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "cluster/backend_node.h"
 #include "common/arena.h"
@@ -192,8 +193,27 @@ Result<ClusterSimulator> ClusterSimulator::Create(
     const Classification& cls, const Allocation& alloc,
     const std::vector<BackendSpec>& backends, const SimulationConfig& config) {
   QCAP_RETURN_NOT_OK(ValidateBackends(backends));
+  if (cls.NumClasses() == 0) {
+    return Status::InvalidArgument("classification has no query classes");
+  }
+  // Execution frequency of a class is its weight divided by the mean cost
+  // of one execution (weight = frequency x cost share).
+  std::vector<double> frequency;
+  frequency.reserve(cls.NumClasses());
+  for (const auto* classes : {&cls.reads, &cls.updates}) {
+    for (const QueryClass& c : *classes) {
+      const double f = c.weight / std::max(c.mean_cost, 1e-12);
+      if (!(f >= 0.0) || !std::isfinite(f)) {
+        return Status::InvalidArgument(
+            "query class " + c.label +
+            " has a negative or non-finite execution frequency");
+      }
+      frequency.push_back(f);
+    }
+  }
   QCAP_ASSIGN_OR_RETURN(Scheduler scheduler, Scheduler::Build(cls, alloc));
-  return ClusterSimulator(cls, alloc, backends, config, std::move(scheduler));
+  return ClusterSimulator(cls, alloc, backends, config, std::move(scheduler),
+                          DiscreteTable(std::move(frequency)));
 }
 
 ClusterSimulator::ClusterSimulator(ClusterSimulator&&) noexcept = default;
@@ -203,42 +223,27 @@ ClusterSimulator::ClusterSimulator(const Classification& cls,
                                    const Allocation& alloc,
                                    const std::vector<BackendSpec>& backends,
                                    const SimulationConfig& config,
-                                   Scheduler scheduler)
+                                   Scheduler scheduler, DiscreteTable classes)
     : cls_(cls),
       alloc_(alloc),
       backends_(backends),
       config_(config),
-      scheduler_(std::move(scheduler)) {
+      scheduler_(std::move(scheduler)),
+      classes_(std::move(classes)) {
   engine::CostModel model(config_.cost_params);
   service_ = model.ServiceMatrix(cls_, alloc_, backends_);
   if (config_.rowa_fanout_overhead > 0.0) {
+    const size_t n = backends_.size();
     for (size_t u = 0; u < cls_.updates.size(); ++u) {
       const size_t fanout = scheduler_.UpdateTargets(u).size();
       if (fanout > 1) {
         const double factor = 1.0 + config_.rowa_fanout_overhead *
                                         static_cast<double>(fanout - 1);
-        for (double& service : service_[cls_.reads.size() + u]) {
-          service *= factor;
-        }
+        double* row = service_.data() + (cls_.reads.size() + u) * n;
+        for (size_t b = 0; b < n; ++b) row[b] *= factor;
       }
     }
   }
-  service_flat_.reserve(service_.size() * backends_.size());
-  for (const auto& row : service_) {
-    service_flat_.insert(service_flat_.end(), row.begin(), row.end());
-  }
-  // Execution frequency of a class is its weight divided by the mean cost
-  // of one execution (weight = frequency x cost share).
-  frequency_.reserve(cls_.NumClasses());
-  for (const auto& c : cls_.reads) {
-    frequency_.push_back(c.weight / std::max(c.mean_cost, 1e-12));
-  }
-  for (const auto& c : cls_.updates) {
-    frequency_.push_back(c.weight / std::max(c.mean_cost, 1e-12));
-  }
-  // Left-to-right, matching Rng::NextDiscrete's per-call summation so the
-  // hoisted total is bit-identical to what it would compute.
-  for (double w : frequency_) frequency_total_ += w;
   // The fault schedule is per-config: merge, validate, and sort it once
   // here instead of on every run.
   FaultPlan plan = config_.fault_plan;
@@ -248,21 +253,6 @@ ClusterSimulator::ClusterSimulator(const Classification& cls,
   fault_status_ = plan.Validate(backends_.size());
   if (fault_status_.ok()) faults_ = plan.Sorted();
 }
-
-// qcap-lint: hot-path begin
-size_t ClusterSimulator::SampleClass(Rng* rng) const {
-  // Same subtractive scan (and therefore the same float arithmetic and
-  // result) as Rng::NextDiscrete, with the weight total hoisted to
-  // construction instead of re-summed per draw.
-  double x = rng->NextDouble() * frequency_total_;
-  const size_t n = frequency_.size();
-  for (size_t i = 0; i < n; ++i) {
-    x -= frequency_[i];
-    if (x < 0.0) return i;
-  }
-  return n - 1;  // Floating-point tail: return last index.
-}
-// qcap-lint: hot-path end
 
 // qcap-lint: hot-path begin
 ClusterSimulator::DispatchOutcome ClusterSimulator::Dispatch(
@@ -278,7 +268,7 @@ ClusterSimulator::DispatchOutcome ClusterSimulator::Dispatch(
   req.is_update = is_update;
 
   const double* service_row =
-      service_flat_.data() + class_index * backends_.size();
+      service_.data() + class_index * backends_.size();
   if (is_update) {
     const size_t u = class_index - cls_.reads.size();
     const auto& targets = scheduler_.UpdateTargets(u);
@@ -615,7 +605,7 @@ void ClusterSimulator::DrainEvents(RunState* state, Rng* rng,
         switch (ev.kind) {
           case SimEvent::Kind::kArrival: {
             const uint64_t id = state->AllocRequest();
-            if (Dispatch(state, id, SampleClass(rng), now) ==
+            if (Dispatch(state, id, classes_.Sample(rng), now) ==
                 DispatchOutcome::kRejected) {
               issue_next(now);
             }
@@ -718,7 +708,7 @@ Status ClusterSimulator::RunClosedInto(RunState* state, uint64_t seed,
     while (issued < num_requests) {
       ++issued;
       const uint64_t id = state->AllocRequest();
-      if (Dispatch(state, id, SampleClass(&rng), now) ==
+      if (Dispatch(state, id, classes_.Sample(&rng), now) ==
           DispatchOutcome::kDispatched) {
         break;
       }

@@ -12,7 +12,10 @@
 // least-pending dispatch index (PendingIndex), lazy Poisson arrival
 // generation (memory O(in-flight), bit-identical to the eager generator),
 // pooled request slots, and run scratch that is reused across runs so the
-// drain loop allocates nothing in steady state.
+// drain loop allocates nothing in steady state. Set-up computes the service
+// matrix in one pass with word-parallel working sets, and the per-request
+// class draw is an O(log C) prefix-sum lookup (DiscreteTable) that returns
+// what the subtractive frequency scan would.
 #pragma once
 
 #include <cstdint>
@@ -173,13 +176,12 @@ class ClusterSimulator {
  private:
   ClusterSimulator(const Classification& cls, const Allocation& alloc,
                    const std::vector<BackendSpec>& backends,
-                   const SimulationConfig& config, Scheduler scheduler);
+                   const SimulationConfig& config, Scheduler scheduler,
+                   DiscreteTable classes);
 
   struct RunState;
   enum class DispatchOutcome { kDispatched, kRejected };
 
-  /// Samples a class index in [0, reads+updates) by execution frequency.
-  size_t SampleClass(Rng* rng) const;
   DispatchOutcome Dispatch(RunState* state, uint64_t request_id,
                            size_t class_index, double now) const;
   void StartReady(RunState* state, size_t backend, double now) const;
@@ -221,15 +223,12 @@ class ClusterSimulator {
   std::vector<BackendSpec> backends_;
   SimulationConfig config_;
   Scheduler scheduler_;
-  /// service_[class][backend], reads first then updates.
-  std::vector<std::vector<double>> service_;
-  /// Row-major copy of service_ (stride = num backends): one indexed load
-  /// per lookup on the dispatch fast path.
-  std::vector<double> service_flat_;
-  /// Sampling frequencies per class (reads first then updates).
-  std::vector<double> frequency_;
-  /// Sum of frequency_, hoisted for the per-request class draw.
-  double frequency_total_ = 0.0;
+  /// Service seconds, row-major (stride = num backends), reads first then
+  /// updates: one indexed load per lookup on the dispatch fast path.
+  std::vector<double> service_;
+  /// Class draw by execution frequency (reads first then updates), O(log C)
+  /// per request and bit-identical to the subtractive scan.
+  DiscreteTable classes_;
   /// fault_plan + legacy failures, merged, validated and sorted once at
   /// construction (the schedule is per-config, not per-run).
   std::vector<FaultEvent> faults_;

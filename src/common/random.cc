@@ -1,7 +1,10 @@
 #include "common/random.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 namespace qcap {
 
@@ -80,5 +83,43 @@ size_t Rng::NextDiscrete(const std::vector<double>& weights) {
   }
   return weights.size() - 1;  // Floating-point tail: return last index.
 }
+
+DiscreteTable::DiscreteTable(std::vector<double> weights)
+    : weights_(std::move(weights)) {
+  assert(!weights_.empty());
+  prefix_.reserve(weights_.size());
+  double total = 0.0;
+  for (double w : weights_) {
+    assert(w >= 0.0 && std::isfinite(w));
+    total += w;
+    prefix_.push_back(total);
+  }
+  // A scan remainder and a prefix sum each differ from their exact values by
+  // at most n + 1 roundings of at most eps * total; the guard is twice the
+  // two errors combined, so outside it both land on the same side of x.
+  guard_ = 4.0 * static_cast<double>(weights_.size() + 2) *
+           std::numeric_limits<double>::epsilon() * total;
+}
+
+// qcap-lint: hot-path begin
+size_t DiscreteTable::Index(double x) const {
+  const size_t k = static_cast<size_t>(
+      std::upper_bound(prefix_.begin(), prefix_.end(), x) - prefix_.begin());
+  if (k < prefix_.size() && prefix_[k] - x > guard_ &&
+      (k == 0 || x - prefix_[k - 1] > guard_)) {
+    return k;
+  }
+  return Scan(x);
+}
+
+size_t DiscreteTable::Scan(double x) const {
+  const size_t n = weights_.size();
+  for (size_t i = 0; i < n; ++i) {
+    x -= weights_[i];
+    if (x < 0.0) return i;
+  }
+  return n - 1;  // Floating-point tail: return last index.
+}
+// qcap-lint: hot-path end
 
 }  // namespace qcap

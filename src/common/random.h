@@ -76,4 +76,43 @@ class Rng {
   double gauss_cache_ = 0.0;
 };
 
+/// \brief Repeated draws from one fixed discrete distribution in O(log n).
+///
+/// Returns exactly the index Rng::NextDiscrete's subtractive scan would
+/// return for the same uniform draw: the weight total is summed left to
+/// right, and Index(x) answers what `x -= w[i]; if (x < 0) return i;` over
+/// all i (falling back to the last index) would. Prefix sums are built
+/// once; a draw takes the upper_bound candidate and accepts it only when x
+/// lies more than a rounding guard of 4 (n + 2) eps * total from both
+/// neighbouring prefix values, outside which the rounded scan and the
+/// rounded prefix sums cannot disagree. (The scan's remainder never grows
+/// as non-negative weights are subtracted, so a candidate the scan has
+/// passed with a non-negative remainder is the scan's answer.) Inside the
+/// guard it runs the scan itself. Weights must be finite and >= 0.
+class DiscreteTable {
+ public:
+  /// Builds the table over \p weights (non-empty, finite, >= 0).
+  explicit DiscreteTable(std::vector<double> weights);
+
+  size_t size() const { return weights_.size(); }
+  /// Left-to-right sum of the weights (bit-identical to NextDiscrete's).
+  double total() const { return prefix_.back(); }
+
+  // qcap-lint: hot-path begin
+  /// Samples an index: one NextDouble() scaled by total(), as NextDiscrete.
+  size_t Sample(Rng* rng) const { return Index(rng->NextDouble() * total()); }
+  /// The subtractive scan's index for remainder \p x (see class comment).
+  size_t Index(double x) const;
+  // qcap-lint: hot-path end
+
+ private:
+  /// The reference subtractive scan, O(n).
+  size_t Scan(double x) const;
+
+  std::vector<double> weights_;
+  /// prefix_[i] = w[0] + ... + w[i], summed left to right.
+  std::vector<double> prefix_;
+  double guard_ = 0.0;
+};
+
 }  // namespace qcap

@@ -60,28 +60,36 @@ class CostModel {
   double ServiceSeconds(const Classification& cls, const QueryClass& c,
                         double resident_bytes, double speed) const;
 
-  /// Precomputes the service time of every (class, backend) pair:
-  /// result[class][backend], read classes first, then update classes.
+  /// Precomputes the service time of every (class, backend) pair as one
+  /// row-major matrix: entry [class * backends.size() + backend], read
+  /// classes first, then update classes.
   ///
   /// The cache penalty is driven by each backend's *working set* — the
-  /// union of fragments of the classes the allocation assigns to it — not
-  /// its raw stored bytes: a fully replicated backend serves every class
-  /// (working set = whole database), while a specialized backend touches
-  /// only its classes' data, which is the caching advantage the paper
-  /// observes for partial replication.
-  std::vector<std::vector<double>> ServiceMatrix(
-      const Classification& cls, const Allocation& alloc,
-      const std::vector<BackendSpec>& backends) const;
-
-  /// Bytes of the union of fragments of all classes assigned to backend
-  /// \p b (reads with positive assignment plus pinned update classes).
-  static double WorkingSetBytes(const Classification& cls,
-                                const Allocation& alloc, size_t b);
+  /// union of fragments of the classes the backend is eligible for at
+  /// runtime (reads it holds completely, updates touching it) — not its raw
+  /// stored bytes: a fully replicated backend serves every class (working
+  /// set = whole database), while a specialized backend touches only its
+  /// classes' data, which is the caching advantage the paper observes for
+  /// partial replication.
+  ///
+  /// Cost O(C * |fragments per class| + B * C * F / 64): scan scales are
+  /// computed once per class (not per pair), and eligibility and working
+  /// sets are word-parallel bitset tests against the placement rows. Every
+  /// entry is bit-identical to ServiceSeconds for that pair.
+  std::vector<double> ServiceMatrix(const Classification& cls,
+                                    const Allocation& alloc,
+                                    const std::vector<BackendSpec>& backends) const;
 
   const CostModelParams& params() const { return params_; }
 
  private:
-  double ScanScale(const Classification& cls, const QueryClass& c) const;
+  /// Multiplier on the I/O part for a backend with \p resident_bytes of
+  /// working set.
+  double CachePenalty(double resident_bytes) const;
+  /// The service-time formula (header comment) for one class on one
+  /// backend, given the class's scan scale and column-execution flag.
+  double Seconds(double mean_cost, double scan_scale, bool column,
+                 double cache_penalty, double speed) const;
 
   CostModelParams params_;
 };

@@ -139,6 +139,138 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(v, shuffled);
 }
 
+/// The subtractive scan of Rng::NextDiscrete for remainder \p x.
+size_t ReferenceScan(const std::vector<double>& weights, double x) {
+  for (size_t i = 0; i < weights.size(); ++i) {
+    x -= weights[i];
+    if (x < 0.0) return i;
+  }
+  return weights.size() - 1;
+}
+
+/// x = 0, the total, and every left-to-right prefix value with its two
+/// floating-point neighbours and a few near offsets: the draws at which
+/// rounded prefix sums and the rounded scan are most likely to disagree.
+std::vector<double> BoundaryDraws(const std::vector<double>& weights) {
+  std::vector<double> xs = {0.0};
+  double prefix = 0.0;
+  for (double w : weights) {
+    prefix += w;
+    xs.push_back(prefix);
+    xs.push_back(std::nextafter(prefix, 0.0));
+    xs.push_back(std::nextafter(prefix, 2.0 * prefix + 1.0));
+    for (double rel : {1e-15, 1e-13, 1e-11}) {
+      xs.push_back(prefix * (1.0 - rel));
+      xs.push_back(prefix * (1.0 + rel));
+    }
+  }
+  return xs;
+}
+
+void ExpectMatchesScan(const std::vector<double>& weights,
+                       const std::vector<double>& xs) {
+  const DiscreteTable table(weights);
+  for (double x : xs) {
+    ASSERT_EQ(table.Index(x), ReferenceScan(weights, x))
+        << "x=" << x << " n=" << weights.size();
+  }
+}
+
+TEST(DiscreteTableTest, TotalIsLeftToRightSum) {
+  const std::vector<double> weights = {0.1, 0.2, 0.3, 1e-17, 7.0};
+  double total = 0.0;
+  for (double w : weights) total += w;
+  EXPECT_EQ(DiscreteTable(weights).total(), total);
+  EXPECT_EQ(DiscreteTable(weights).size(), weights.size());
+}
+
+TEST(DiscreteTableTest, SampleMatchesNextDiscrete) {
+  Rng gen(3);
+  std::vector<double> weights(500);
+  for (double& w : weights) w = gen.NextDouble() < 0.1 ? 0.0 : gen.NextDouble();
+  const DiscreteTable table(weights);
+  Rng a(11), b(11);
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_EQ(table.Sample(&a), b.NextDiscrete(weights)) << "draw " << i;
+  }
+}
+
+TEST(DiscreteTableTest, EdgeCaseWeights) {
+  const std::vector<std::vector<double>> cases = {
+      {1.0},
+      {0.0, 1.0},
+      {1.0, 0.0},
+      {0.0, 0.0, 3.0, 0.0, 0.0},
+      {0.0, 0.0, 0.0},  // All zero: the scan's tail answer, the last index.
+      {2.0, 2.0, 2.0, 2.0},
+      {0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1},
+      {1e-8, 1e8, 1e-8, 1e8, 1e-8},
+      {1e8, 1e-8, 1e-8, 1e-8, 1e-8},
+  };
+  for (const auto& weights : cases) {
+    std::vector<double> xs = BoundaryDraws(weights);
+    Rng rng(5);
+    double total = 0.0;
+    for (double w : weights) total += w;
+    for (int i = 0; i < 1000; ++i) xs.push_back(rng.NextDouble() * total);
+    ExpectMatchesScan(weights, xs);
+  }
+}
+
+TEST(DiscreteTableTest, AdversarialWeightVectorsMatchScan) {
+  // Zeros, ties and 16 decades of range, at and next to every prefix value.
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + rng.NextBounded(300);
+    std::vector<double> weights(n);
+    for (double& w : weights) {
+      const uint64_t kind = rng.NextBounded(5);
+      if (kind == 0) {
+        w = 0.0;
+      } else if (kind == 1) {
+        w = 1.0;  // Ties.
+      } else {
+        w = std::pow(10.0, rng.NextDouble(-8.0, 8.0));
+      }
+    }
+    std::vector<double> xs = BoundaryDraws(weights);
+    const double total = DiscreteTable(weights).total();
+    for (int i = 0; i < 500; ++i) xs.push_back(rng.NextDouble() * total);
+    ExpectMatchesScan(weights, xs);
+  }
+}
+
+TEST(DiscreteTableTest, FallbackRunsWhereThePrefixCandidateIsWrong) {
+  // fl(1 + 1e-16) == 1, so the prefix sums are {1, 1, 1, 2} and the
+  // upper_bound candidate for x = 1 is index 3; the scan instead reaches
+  // remainder 0 after class 0 and goes negative on class 1. Only the
+  // guarded fallback returns the scan's answer here.
+  const std::vector<double> weights = {1.0, 1e-16, 1e-16, 1.0};
+  const std::vector<double> prefix = {1.0, 1.0, 1.0, 2.0};
+  double sum = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    sum += weights[i];
+    ASSERT_EQ(sum, prefix[i]);
+  }
+  const size_t candidate = static_cast<size_t>(
+      std::upper_bound(prefix.begin(), prefix.end(), 1.0) - prefix.begin());
+  ASSERT_EQ(candidate, 3u);
+  ASSERT_EQ(ReferenceScan(weights, 1.0), 1u);
+  EXPECT_EQ(DiscreteTable(weights).Index(1.0), 1u);
+}
+
+TEST(DiscreteTableTest, RandomDrawsMatchScan) {
+  Rng gen(23);
+  std::vector<double> weights(5000);
+  for (double& w : weights) w = gen.NextDouble() * gen.NextDouble();
+  const DiscreteTable table(weights);
+  Rng rng(29);
+  for (int i = 0; i < 40000; ++i) {
+    const double x = rng.NextDouble() * table.total();
+    ASSERT_EQ(table.Index(x), ReferenceScan(weights, x)) << "x=" << x;
+  }
+}
+
 class RngSeedSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RngSeedSweep, BoundedUniformityAcrossSeeds) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "alloc/full_replication.h"
 #include "alloc/greedy.h"
 #include "cluster/backend_node.h"
@@ -108,6 +111,58 @@ TEST(SimulatorTest, SchedulerRejectsUnservableClass) {
   auto sim =
       ClusterSimulator::Create(cls, a, HomogeneousBackends(1), LightConfig());
   EXPECT_FALSE(sim.ok());
+}
+
+TEST(SimulatorTest, RejectsClassificationWithoutClasses) {
+  // No class to draw: both run modes used to index class SIZE_MAX.
+  Classification cls;
+  ASSERT_TRUE(cls.catalog.Add("A", "A", FragmentKind::kTable, 1.0).ok());
+  Allocation a(1, 1, 0, 0);
+  a.Place(0, 0);
+  auto sim =
+      ClusterSimulator::Create(cls, a, HomogeneousBackends(1), LightConfig());
+  ASSERT_FALSE(sim.ok());
+  EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SimulatorTest, RejectsNegativeOrNonFiniteFrequency) {
+  for (double weight : {-0.5, std::nan(""), HUGE_VAL}) {
+    Classification cls;
+    ASSERT_TRUE(cls.catalog.Add("A", "A", FragmentKind::kTable, 1.0).ok());
+    cls.reads = {QueryClass{{0}, 1.0, 0.01, false, "Q1", {}},
+                 QueryClass{{0}, weight, 0.01, false, "Q2", {}}};
+    Allocation a(1, 1, 2, 0);
+    a.Place(0, 0);
+    a.set_read_assign(0, 0, 1.0);
+    auto sim =
+        ClusterSimulator::Create(cls, a, HomogeneousBackends(1), LightConfig());
+    ASSERT_FALSE(sim.ok()) << "weight " << weight;
+    EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SimulatorTest, SingleClassRunsClosedAndOpenLoop) {
+  Classification cls;
+  ASSERT_TRUE(cls.catalog.Add("A", "A", FragmentKind::kTable, 1.0).ok());
+  cls.reads = {QueryClass{{0}, 1.0, 0.01, false, "Q1", {}}};
+  Allocation a(2, 1, 1, 0);
+  a.Place(0, 0);
+  a.Place(1, 0);
+  a.set_read_assign(0, 0, 0.5);
+  a.set_read_assign(1, 0, 0.5);
+  SimulationConfig config = LightConfig();
+  config.track_class_mix = true;
+  auto sim = ClusterSimulator::Create(cls, a, HomogeneousBackends(2), config);
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+  auto closed = sim->RunClosed(500, 4);
+  ASSERT_TRUE(closed.ok());
+  EXPECT_EQ(closed->completed_reads, 500u);
+  EXPECT_EQ(closed->class_completions, std::vector<uint64_t>{500});
+  auto open = sim->RunOpen(10.0, 20.0);
+  ASSERT_TRUE(open.ok());
+  EXPECT_GT(open->completed_reads, 0u);
+  EXPECT_EQ(open->class_completions,
+            std::vector<uint64_t>{open->completed_reads});
 }
 
 TEST(SimulatorTest, DeterministicForSeed) {
